@@ -175,7 +175,8 @@ class _Task:
         self.data = data
         self.digest = digest
         self.attempt = 0
-        self.followers: list[tuple[object, str]] = []
+        #: coalesced twins as ``(key, source_id, deadline)``
+        self.followers: list[tuple[object, str, float | None]] = []
         #: absolute ``time.monotonic()`` request deadline, or None
         self.deadline = deadline
 
@@ -423,7 +424,7 @@ class StreamingPool:
                 while waiting and idle:
                     task = waiting.popleft()
                     if task.deadline is not None and time.monotonic() >= task.deadline:
-                        self._expire_task(task, buffer, primaries)
+                        self._expire_task(task, buffer, primaries, waiting)
                         continue
                     slot = idle.pop()
                     inflight[self._submit(slot, task)] = (slot, task)
@@ -533,7 +534,7 @@ class StreamingPool:
                 while waiting and idle:
                     task = waiting.popleft()
                     if task.deadline is not None and now >= task.deadline:
-                        self._expire_task(task, buffer, primaries)
+                        self._expire_task(task, buffer, primaries, waiting)
                         continue
                     slot = idle.pop()
                     future = self._submit(slot, task)
@@ -661,32 +662,43 @@ class StreamingPool:
         deadline = rest[0] if rest else None
         primary = primaries.get(digest)
         if primary is not None:
-            primary.followers.append((key, source_id))
+            primary.followers.append((key, source_id, deadline))
             return
         task = _Task(key, source_id, data, digest, deadline)
         primaries[digest] = task
         waiting.append(task)
 
-    def _expire_task(self, task: _Task, buffer: dict, primaries: dict) -> None:
+    def _expire_task(
+        self, task: _Task, buffer: dict, primaries: dict, waiting: deque
+    ) -> None:
         """Settle a task whose deadline passed while it queued for a slot.
 
-        The task (and its coalesced followers) yield degraded deadline
-        records, releasing their window slots — expired requests must not
-        leak admission capacity.  Nothing is cached: ``computed`` stays
-        False and the record carries the ``deadline`` marker.
+        The task yields a degraded deadline record, releasing its window
+        slot — expired requests must not leak admission capacity.  Nothing
+        is cached: ``computed`` stays False and the record carries the
+        ``deadline`` marker.  Its coalesced followers queue on under their
+        own deadlines.
         """
-        from repro.engine.core import AnalysisEngine
-
         metrics = self._metrics
         if metrics.enabled:
-            metrics.counter("stream.deadline_expired").inc(1 + len(task.followers))
+            metrics.counter("stream.deadline_expired").inc()
         record = deadline_expired_record(task.source_id, task.digest)
         primaries.pop(task.digest, None)
         buffer[task.key] = StreamResult(task.key, record, False, False)
-        for key, source_id in task.followers:
-            buffer[key] = StreamResult(
-                key, AnalysisEngine._cached_copy(record, source_id), False, False
-            )
+        self._requeue_followers(task, waiting, primaries)
+
+    @staticmethod
+    def _requeue_followers(task: _Task, waiting: deque, primaries: dict) -> None:
+        """Give ``task``'s followers a dispatch of their own, ahead of fresh
+        admissions: its record was shaped by its own request deadline, which
+        says nothing about theirs."""
+        if not task.followers:
+            return
+        (key, source_id, deadline), *rest = task.followers
+        successor = _Task(key, source_id, task.data, task.digest, deadline)
+        successor.followers = rest
+        primaries[task.digest] = successor
+        waiting.appendleft(successor)
 
     @staticmethod
     def _nearest_deadline(waiting: deque) -> float | None:
@@ -755,7 +767,7 @@ class StreamingPool:
         self.tasks_completed += 1
         if metrics.enabled:
             metrics.counter("stream.tasks").inc()
-        self._settle_success(task, record, buffer, primaries)
+        self._settle_success(task, record, buffer, primaries, waiting)
         return 1, None
 
     def _materialize(self, slot: _Slot, descriptor: _ShmResult) -> DocumentRecord:
@@ -832,12 +844,16 @@ class StreamingPool:
         record: DocumentRecord,
         buffer: dict,
         primaries: dict,
+        waiting: deque,
     ) -> None:
         from repro.engine.core import AnalysisEngine
 
         primaries.pop(task.digest, None)
         buffer[task.key] = StreamResult(task.key, record, True, False)
-        for key, source_id in task.followers:
+        if deadline_limited(record):
+            self._requeue_followers(task, waiting, primaries)
+            return
+        for key, source_id, _ in task.followers:
             buffer[key] = StreamResult(
                 key, AnalysisEngine._cached_copy(record, source_id), False, True
             )
@@ -878,7 +894,7 @@ class StreamingPool:
             metrics.span("quarantine", doc=task.digest).start().finish(
                 outcome="error"
             )
-        self._settle_success(task, record, buffer, primaries)
+        self._settle_success(task, record, buffer, primaries, waiting)
         return None
 
     def _flush_telemetry(self, engine) -> None:

@@ -51,6 +51,13 @@ def _copy_token_parameters(position: int) -> tuple[int, int, int]:
     return length_mask, offset_mask, bit_count
 
 
+#: Copy-token bit count by chunk position, for every position a chunk can
+#: hold; past a full chunk (malformed input only) the count stays 12.
+_BIT_COUNTS: tuple[int, ...] = tuple(
+    _copy_token_parameters(position)[2] for position in range(CHUNK_SIZE + 1)
+)
+
+
 # ----------------------------------------------------------------------
 # Decompression
 
@@ -98,25 +105,26 @@ def _decompress_chunk(
         for bit in range(8):
             if position >= chunk_end:
                 break
-            decompressed_in_chunk = len(output) - chunk_start_in_output
             if flags & (1 << bit):
                 if position + 2 > chunk_end:
                     raise OVBACompressionError("truncated copy token")
-                token = int.from_bytes(data[position : position + 2], "little")
+                token = data[position] | (data[position + 1] << 8)
                 position += 2
-                length_mask, _, bit_count = _copy_token_parameters(
-                    decompressed_in_chunk
-                )
-                length = (token & length_mask) + 3
+                decompressed_in_chunk = len(output) - chunk_start_in_output
+                bit_count = _BIT_COUNTS[min(decompressed_in_chunk, CHUNK_SIZE)]
+                length = (token & (0xFFFF >> bit_count)) + 3
                 offset = (token >> (16 - bit_count)) + 1
                 if offset > decompressed_in_chunk:
                     raise OVBACompressionError(
                         f"copy token offset {offset} reaches before chunk start"
                     )
                 source = len(output) - offset
-                # Overlapping copies are legal (RLE): copy byte-by-byte.
-                for step in range(length):
-                    output.append(output[source + step])
+                if offset >= length:
+                    output += output[source : source + length]
+                else:
+                    # Overlapping copies are legal (RLE): copy byte-by-byte.
+                    for step in range(length):
+                        output.append(output[source + step])
             else:
                 output.append(data[position])
                 position += 1

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine.records import sha256_hex
+from repro.engine.stream import deadline_limited
 from repro.obs.events import serve_event
 from repro.obs.metrics import NULL_REGISTRY
 from repro.resilience.quarantine import quarantine_record
@@ -162,17 +163,23 @@ class AnalysisGateway:
         if deadline_s is None:
             return await job.future
         try:
-            return await asyncio.wait_for(
+            record = await asyncio.wait_for(
                 asyncio.shield(job.future), deadline_s
             )
         except asyncio.TimeoutError:
             # The pool-side deadline settles the job eventually (releasing
             # its window slot); this request just stops waiting for it.
+            record = None
+        # Both deadlines fall at the same instant, so on a busy event loop
+        # the pool's deadline-degraded record can settle the future before
+        # the wait times out.  That record is still an expired deadline.
+        if record is None or (
+            deadline_limited(record) and time.monotonic() >= job.deadline
+        ):
             if self.metrics.enabled:
                 self.metrics.counter("serve.deadline_expired").inc()
-            raise DeadlineExpired(
-                f"no result within {deadline_s:.3f}s"
-            ) from None
+            raise DeadlineExpired(f"no result within {deadline_s:.3f}s")
+        return record
 
     # -- the dispatch loop ---------------------------------------------
 

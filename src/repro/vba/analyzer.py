@@ -26,7 +26,10 @@ it is extracted alone or in a batch of thousands.
 from __future__ import annotations
 
 import re
+import string
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,12 +58,13 @@ _WORD_PATTERN = re.compile(r"[A-Za-z0-9_$#@%!&]+")
 #: 150 characters instead of the JavaScript studies' 1000.
 LONG_LINE_THRESHOLD = 150
 
-#: Procedure bodies, split on Sub/Function boundaries (J18–J20).
-_FUNCTION_BODY_PATTERN = re.compile(
-    r"(?:^|\n)[ \t]*(?:Public\s+|Private\s+)?(?:Sub|Function)\s+\w+"
-    r".*?\n(.*?)(?:^|\n)[ \t]*End (?:Sub|Function)",
-    re.DOTALL | re.IGNORECASE,
+#: Procedure bodies (J18–J20): a body runs from the line after a Sub or
+#: Function header to the next ``End Sub``/``End Function`` line.
+_PROCEDURE_HEADER = re.compile(
+    r"(?:^|\n)[ \t]*(?:Public\s+|Private\s+)?(?:Sub|Function)\s+\w+",
+    re.IGNORECASE,
 )
+_PROCEDURE_END = re.compile(r"\n[ \t]*End (?:Sub|Function)", re.IGNORECASE)
 
 #: The built-in call catalogs, in the fixed column order used by
 #: :attr:`AnalysisSummary.catalog_hits` (and features V8–V12).
@@ -72,9 +76,7 @@ CATALOG_ORDER: tuple[frozenset[str], ...] = (
     RICH_FUNCTIONS,
 )
 
-_KIND_INDEX: dict[TokenKind, int] = {
-    kind: index for index, kind in enumerate(TokenKind)
-}
+_KIND_VALUE = attrgetter("kind._value_")
 
 #: char-class histogram shape: one bin per ASCII codepoint plus a single
 #: overflow bin for everything non-ASCII.
@@ -82,6 +84,8 @@ _HIST_BINS = 129
 _HIST_OVERFLOW = 128
 
 _VOWELS = frozenset("aeiouAEIOU")
+_DROP_LETTERS = dict.fromkeys(map(ord, string.ascii_letters))
+_CONSONANT_RUN = re.compile(r"[b-df-hj-np-tv-zB-DF-HJ-NP-TV-Z]{4}")
 
 
 @dataclass(slots=True)
@@ -226,9 +230,10 @@ def analyze(source: str) -> MacroAnalysis:
 def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     """Build the array-backed summary from one finished analysis.
 
-    One walk over the token list, one vectorized pass over the characters,
-    one regex pass for words and one for procedure bodies — after this the
-    feature extractors never look at the analysis again.
+    One fused walk over the token list, one vectorized pass over the
+    characters, one regex pass for words and one linear scan for procedure
+    bodies — after this the feature extractors never look at the analysis
+    again.  Every pass is linear in the size of the macro.
     """
     source = analysis.source
     char_histogram, entropy = _char_stats(source)
@@ -238,22 +243,9 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     )
     backslash_chars = int(char_histogram[92])
 
-    token_kind_counts = np.zeros(len(_KIND_INDEX), dtype=np.int64)
-    comment_chars = 0
-    comment_parts: list[str] = []
-    string_token_chars = 0
-    string_op_count = 0
-    for token in analysis.tokens:
-        token_kind_counts[_KIND_INDEX[token.kind]] += 1
-        kind = token.kind
-        if kind is TokenKind.COMMENT:
-            comment_chars += len(token.text)
-            comment_parts.append(token.text)
-        elif kind is TokenKind.STRING:
-            string_token_chars += len(token.text)
-        elif kind is TokenKind.OPERATOR and token.text in STRING_CONCAT_OPERATORS:
-            string_op_count += 1
-    comment_text = "".join(comment_parts)
+    walk = _TokenWalk(analysis.tokens)
+    comment_text = "".join(walk.comment_parts)
+    comment_chars = len(comment_text)
 
     lines = source.splitlines()
     line_lengths = np.fromiter(
@@ -264,28 +256,34 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     )
 
     words = _WORD_PATTERN.findall(source)
-    word_lengths = np.fromiter(
-        (len(word) for word in words), dtype=np.int64, count=len(words)
-    )
+    word_lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    # Both word measures depend on the word alone: decide each distinct word
+    # once and weigh it by its count.
+    word_counts = Counter(words)
     readable_word_count = sum(
-        1 for word in words if _is_human_readable(word)
+        count for word, count in word_counts.items() if _is_human_readable(word)
     )
-    words_in_comment_count = (
-        sum(1 for word in words if word in comment_text) if comment_text else 0
-    )
+    words_in_comment_count = 0
+    if comment_text:
+        # Searching the comment text once per word is quadratic on
+        # comment-heavy macros; the automaton answers in the word's length.
+        in_comment = _SuffixAutomaton(comment_text).contains
+        words_in_comment_count = sum(
+            count for word, count in word_counts.items() if in_comment(word)
+        )
 
     string_lengths = np.fromiter(
-        (len(value) for value in analysis.string_literals),
+        map(len, analysis.string_literals),
         dtype=np.int64,
         count=len(analysis.string_literals),
     )
     identifier_lengths = np.fromiter(
-        (len(name) for name in analysis.declared_identifiers),
+        map(len, analysis.declared_identifiers),
         dtype=np.int64,
         count=len(analysis.declared_identifiers),
     )
 
-    catalog_hits = np.zeros(len(CATALOG_ORDER), dtype=np.int64)
+    catalog_hits = [0] * len(CATALOG_ORDER)
     member_call_count = 0
     for call in analysis.call_sites:
         lowered = call.name.lower()
@@ -295,13 +293,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
             if lowered in catalog:
                 catalog_hits[column] += 1
 
-    argument_lengths = _argument_lengths(analysis.tokens)
-
-    body_count = 0
-    body_total_chars = 0
-    for match in _FUNCTION_BODY_PATTERN.finditer(source):
-        body_count += 1
-        body_total_chars += match.end(1) - match.start(1)
+    body_count, body_total_chars = _procedure_bodies(source)
 
     return AnalysisSummary(
         source_chars=len(source),
@@ -314,8 +306,8 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
         line_count=len(lines),
         long_line_count=long_line_count,
         line_lengths=line_lengths,
-        token_kind_counts=token_kind_counts,
-        comment_count=int(token_kind_counts[_KIND_INDEX[TokenKind.COMMENT]]),
+        token_kind_counts=np.array(walk.kind_counts, dtype=np.int64),
+        comment_count=len(walk.comment_parts),
         word_count=len(words),
         word_len_sum=int(word_lengths.sum()),
         word_len_sqsum=int((word_lengths * word_lengths).sum()),
@@ -324,8 +316,8 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
         word_lengths=word_lengths,
         string_count=len(analysis.string_literals),
         string_len_sum=int(string_lengths.sum()),
-        string_token_chars=string_token_chars,
-        string_op_count=string_op_count,
+        string_token_chars=walk.string_token_chars,
+        string_op_count=walk.string_op_count,
         string_lengths=string_lengths,
         identifier_count=len(analysis.declared_identifiers),
         identifier_len_sum=int(identifier_lengths.sum()),
@@ -333,12 +325,84 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
         identifier_lengths=identifier_lengths,
         call_count=len(analysis.call_sites),
         member_call_count=member_call_count,
-        catalog_hits=catalog_hits,
-        argument_count=len(argument_lengths),
-        argument_len_sum=int(sum(argument_lengths)),
+        catalog_hits=np.array(catalog_hits, dtype=np.int64),
+        argument_count=walk.argument_count,
+        argument_len_sum=walk.argument_len_sum,
         body_count=body_count,
         body_total_chars=body_total_chars,
     )
+
+
+class _TokenWalk:
+    """Everything :func:`summarize` needs from the tokens, in one pass.
+
+    * ``kind_counts``: tokens per kind, in :class:`TokenKind` order;
+    * ``comment_parts``: the COMMENT token texts, in order;
+    * ``string_token_chars``: raw STRING token text, quotes included;
+    * ``string_op_count``: OPERATOR tokens in STRING_CONCAT_OPERATORS;
+    * ``argument_count`` / ``argument_len_sum``: one argument list per
+      identifier directly followed by ``(`` (whitespace and newlines
+      skipped), its length the text between that ``(`` and its matching
+      ``)`` — or the end of the macro if it is never closed — without
+      whitespace and newline tokens (J9).
+
+    Parentheses match through a stack of open ones, each holding the text
+    offset just past it if it opens a call, so nesting costs nothing extra.
+    """
+
+    __slots__ = (
+        "kind_counts", "comment_parts", "string_token_chars",
+        "string_op_count", "argument_count", "argument_len_sum",
+    )
+
+    def __init__(self, tokens: list[Token]) -> None:
+        whitespace, newline, eof = (
+            TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF
+        )
+        punct, identifier = TokenKind.PUNCT, TokenKind.IDENTIFIER
+        comment, string, operator = (
+            TokenKind.COMMENT, TokenKind.STRING, TokenKind.OPERATOR
+        )
+        concat = STRING_CONCAT_OPERATORS
+        comment_parts: list[str] = []
+        string_token_chars = string_op_count = 0
+        argument_count = argument_len_sum = 0
+        open_parens: list[int] = []  # offset past a call's "(", else -1
+        offset = 0  # text length of the tokens walked, whitespace excluded
+        after_identifier = False
+        for kind, text, _, _ in tokens:
+            if kind is whitespace or kind is newline or kind is eof:
+                continue
+            if kind is punct:
+                if text == "(":
+                    open_parens.append(offset + 1 if after_identifier else -1)
+                elif text == ")" and open_parens:
+                    start = open_parens.pop()
+                    if start >= 0:
+                        argument_count += 1
+                        argument_len_sum += offset - start
+            elif kind is string:
+                string_token_chars += len(text)
+            elif kind is operator:
+                if text in concat:
+                    string_op_count += 1
+            elif kind is comment:
+                comment_parts.append(text)
+            offset += len(text)
+            after_identifier = kind is identifier
+        for start in open_parens:  # unclosed calls run to the end
+            if start >= 0:
+                argument_count += 1
+                argument_len_sum += offset - start
+        # Counted by the kind's value string: its hash is cached, while
+        # hashing the enum member runs Enum.__hash__ in Python.
+        by_value = Counter(map(_KIND_VALUE, tokens))
+        self.kind_counts = [by_value[kind.value] for kind in TokenKind]
+        self.comment_parts = comment_parts
+        self.string_token_chars = string_token_chars
+        self.string_op_count = string_op_count
+        self.argument_count = argument_count
+        self.argument_len_sum = argument_len_sum
 
 
 def _char_stats(source: str) -> tuple[np.ndarray, float]:
@@ -360,70 +424,109 @@ def _is_human_readable(word: str) -> bool:
 
     Heuristic: mostly letters, contains a vowel, not absurdly long, and no
     long consonant run (pronounceable English never stacks 4+ consonants the
-    way ``rjzybhqrliy``-style random identifiers do).
+    way ``rjzybhqrliy``-style random identifiers do).  ``word`` is one of
+    the paper's words (:data:`_WORD_PATTERN`), so its letters are ASCII.
     """
     if not word or len(word) > 15:
         return False
-    letters = sum(1 for ch in word if ch.isalpha())
+    letters = len(word) - len(word.translate(_DROP_LETTERS))
     if letters < len(word) * 0.5:
         return False
-    if not any(ch in _VOWELS for ch in word):
+    if _VOWELS.isdisjoint(word):
         return False
-    run = 0
-    for ch in word:
-        if ch.isalpha() and ch not in _VOWELS:
-            run += 1
-            if run >= 4:
+    return _CONSONANT_RUN.search(word) is None
+
+
+def _procedure_bodies(source: str) -> tuple[int, int]:
+    r"""(count, total characters) of the procedure bodies in ``source``.
+
+    A linear scan with the meaning of the single regex
+    ``(?:^|\n)[ \t]*(?:Public\s+|Private\s+)?(?:Sub|Function)\s+\w+.*?\n
+    (.*?)(?:^|\n)[ \t]*End (?:Sub|Function)`` (DOTALL, IGNORECASE) under
+    ``finditer``, which backtracks over the rest of the source from every
+    header that has no ``End`` after it.  For the first header at or past
+    the scan position, the body starts after the first newline that follows
+    the header and ends at the first end marker after that newline.  Every
+    later header ends no earlier, so once there is no such newline or end
+    marker, no later header has one either and the scan stops.
+    """
+    count = total = 0
+    position = 0
+    while (header := _PROCEDURE_HEADER.search(source, position)) is not None:
+        newline = source.find("\n", header.end())
+        if newline < 0:
+            break
+        end = _PROCEDURE_END.search(source, newline + 1)
+        if end is None:
+            break
+        count += 1
+        total += end.start() - newline - 1
+        position = end.end()
+    return count, total
+
+
+class _SuffixAutomaton:
+    """The suffix automaton of a string: accepts exactly its substrings.
+
+    Built in time linear in the text; :meth:`contains` costs the length of
+    the word it is asked about.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, text: str) -> None:
+        nexts: list[dict[str, int]] = [{}]
+        links = [-1]
+        lengths = [0]
+        last = 0
+        for char in text:
+            state = len(nexts)
+            nexts.append({})
+            lengths.append(lengths[last] + 1)
+            links.append(0)
+            parent = last
+            while parent >= 0 and char not in nexts[parent]:
+                nexts[parent][char] = state
+                parent = links[parent]
+            if parent >= 0:
+                target = nexts[parent][char]
+                if lengths[parent] + 1 == lengths[target]:
+                    links[state] = target
+                else:
+                    clone = len(nexts)
+                    nexts.append(dict(nexts[target]))
+                    lengths.append(lengths[parent] + 1)
+                    links.append(links[target])
+                    while parent >= 0 and nexts[parent].get(char) == target:
+                        nexts[parent][char] = clone
+                        parent = links[parent]
+                    links[target] = links[state] = clone
+            last = state
+        self._next = nexts
+
+    def contains(self, word: str) -> bool:
+        nexts = self._next
+        state = 0
+        for char in word:
+            state = nexts[state].get(char, -1)
+            if state < 0:
                 return False
-        else:
-            run = 0
-    return True
-
-
-def _argument_lengths(all_tokens: list[Token]) -> list[int]:
-    """Character lengths of parenthesized call arguments (J9)."""
-    lengths: list[int] = []
-    tokens = [
-        t
-        for t in all_tokens
-        if t.kind
-        not in (TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF)
-    ]
-    for index, token in enumerate(tokens[:-1]):
-        if token.kind is not TokenKind.IDENTIFIER:
-            continue
-        nxt = tokens[index + 1]
-        if nxt.kind is not TokenKind.PUNCT or nxt.text != "(":
-            continue
-        depth = 0
-        size = 0
-        for inner in tokens[index + 1 :]:
-            if inner.kind is TokenKind.PUNCT and inner.text == "(":
-                depth += 1
-                if depth == 1:
-                    continue
-            if inner.kind is TokenKind.PUNCT and inner.text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            size += len(inner.text)
-        lengths.append(size)
-    return lengths
+        return True
 
 
 # ----------------------------------------------------------------------
 
 
 def _collect(analysis: MacroAnalysis) -> None:
+    whitespace, continuation, eof = (
+        TokenKind.WHITESPACE, TokenKind.LINE_CONTINUATION, TokenKind.EOF
+    )
     tokens = [
         token
         for token in analysis.tokens
-        if token.kind
-        not in (
-            TokenKind.WHITESPACE,
-            TokenKind.LINE_CONTINUATION,
-            TokenKind.EOF,
-        )
+        if (kind := token.kind) is not whitespace
+        and kind is not continuation
+        and kind is not eof
     ]
     declared: list[str] = []
     declared_seen: set[str] = set()
@@ -443,26 +546,27 @@ def _collect(analysis: MacroAnalysis) -> None:
     at_statement_start = True
     while index < len(tokens):
         token = tokens[index]
+        kind = token.kind
 
-        if token.kind is TokenKind.NEWLINE or (
-            token.kind is TokenKind.PUNCT and token.text == ":"
+        if kind is TokenKind.NEWLINE or (
+            kind is TokenKind.PUNCT and token.text == ":"
         ):
             at_statement_start = True
             index += 1
             continue
 
-        if token.kind is TokenKind.COMMENT:
+        if kind is TokenKind.COMMENT:
             comments.append(token.text)
             index += 1
             continue
 
-        if token.kind is TokenKind.STRING:
+        if kind is TokenKind.STRING:
             strings.append(token.string_value)
             at_statement_start = False
             index += 1
             continue
 
-        if token.kind is TokenKind.KEYWORD:
+        if kind is TokenKind.KEYWORD:
             keyword = token.text.lower()
             if keyword in _PROCEDURE_KEYWORDS:
                 index = _scan_procedure(
@@ -500,7 +604,7 @@ def _collect(analysis: MacroAnalysis) -> None:
             index += 1
             continue
 
-        if token.kind is TokenKind.IDENTIFIER:
+        if kind is TokenKind.IDENTIFIER:
             uses.append(token.text)
             is_member = _is_member_access(tokens, index)
             next_kind = _kind_at(tokens, index + 1)

@@ -1,8 +1,11 @@
 """A tokenizer for Visual Basic for Applications source code.
 
-The lexer is a single-pass scanner producing :class:`~repro.vba.tokens.Token`
-objects.  It handles the VBA constructs that matter for static analysis of
-macro code:
+The lexer is one compiled master regex of ordered alternatives, one capture
+group per rule, applied with ``finditer``: every alternative consumes at
+least one character and the last one takes any character, so the matches
+tile the source with no gaps and each match is exactly one
+:class:`~repro.vba.tokens.Token`.  It handles the VBA constructs that matter
+for static analysis of macro code:
 
 * ``'`` comments and ``Rem`` statement comments, running to end of line;
 * double-quoted string literals with ``""`` escapes;
@@ -12,14 +15,23 @@ macro code:
 * the ``_`` line continuation (space + underscore + end of line);
 * multi-character operators (``<=``, ``>=``, ``<>``, ``:=``).
 
+Alternatives are tried in order, so where two can start on the same
+character the more specific one comes first: a continuation before plain
+whitespace, a radix number before the ``&`` operator, a date before the
+``#`` punctuation, ``Rem`` and the keywords before identifiers.  Keywords
+carry no type suffix (``Dim$`` is the keyword ``Dim`` and the punctuation
+``$``); identifiers may (``name$``).
+
 The scanner is loss-less: concatenating ``token.text`` for all tokens
 (including whitespace/newline tokens) reconstructs the input exactly.  Feature
-extraction relies on this property to compute exact character counts.
+extraction relies on this property to compute exact character counts.  Lines
+advance only on NEWLINE and LINE_CONTINUATION tokens (``\\r\\n``, ``\\n`` and
+a lone ``\\r`` each end a line); columns count from the last line start.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import re
 
 from repro.vba.tokens import (
     MULTI_CHAR_OPERATORS,
@@ -30,230 +42,100 @@ from repro.vba.tokens import (
     TokenKind,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+
+def _keyword_pattern(words) -> str:
+    """An ASCII case-insensitive regex for ``words``, factored as a trie.
+
+    As a trie, an identifier that is no keyword fails after a character or
+    two instead of against 130 alternatives (half the regex time on the
+    paper corpus).  Explicit ``[Xx]`` classes rather than the IGNORECASE
+    flag, which would also fold non-ASCII letters (``ſ`` matches ``s``).
+    """
+    trie: dict = {}
+    for word in words:
+        node = trie
+        for char in word:
+            node = node.setdefault(char, {})
+        node[""] = {}
+
+    def emit(node: dict) -> str:
+        branches = [
+            f"[{char.upper()}{char}]{emit(child)}"
+            for char, child in sorted(node.items())
+            if char
+        ]
+        if not branches:
+            return ""
+        body = branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+        return f"(?:{body})?" if "" in node else body
+
+    return emit(trie)
+
+
+def _char_class(chars) -> str:
+    return "[" + "".join(re.escape(char) for char in sorted(chars)) + "]"
+
+
+_WORD_END = r"(?![A-Za-z0-9_])"
+_EXPONENT_AND_SUFFIX = r"(?:[eE][+-]?[0-9]+)?[%&!#@^]?"
+
+#: (kind, pattern) in match priority order.  Digits, letters and the radix
+#: marks are spelled as ASCII classes: ``\d`` would also take Arabic-Indic
+#: digits, which VBA lexes as unknown characters.
+_RULES: tuple[tuple[TokenKind, str], ...] = (
+    (TokenKind.NEWLINE, r"\r\n?|\n"),
+    (TokenKind.LINE_CONTINUATION, r"[ \t]+_[ \t]*(?=[\r\n]|\Z)\r?\n?"),
+    (TokenKind.WHITESPACE, r"[ \t]+"),
+    (TokenKind.COMMENT, r"'[^\r\n]*"),
+    (TokenKind.STRING, r'"[^"\r\n]*(?:""[^"\r\n]*)*"?'),
+    (
+        TokenKind.NUMBER,
+        r"(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)" + _EXPONENT_AND_SUFFIX
+        + r"|&[Hh][0-9A-Fa-f]*[&%]?|&[Oo][0-7]*[&%]?",
+    ),
+    # A date is 1-23 date characters between two ``#`` on one line.
+    (TokenKind.DATE, r"#[0-9/:\- APMapm,]{1,23}#"),
+    (TokenKind.COMMENT, r"[Rr][Ee][Mm]" + _WORD_END + r"[^\r\n]*"),
+    (TokenKind.KEYWORD, _keyword_pattern(VBA_KEYWORDS - {"rem"}) + _WORD_END),
+    (TokenKind.IDENTIFIER, r"[A-Za-z_][A-Za-z0-9_]*[%&!#@$]?"),
+    (
+        TokenKind.OPERATOR,
+        "|".join(map(re.escape, MULTI_CHAR_OPERATORS))
+        + "|" + _char_class(SINGLE_CHAR_OPERATORS),
+    ),
+    (TokenKind.PUNCT, _char_class(PUNCTUATION)),
+    (TokenKind.UNKNOWN, r"(?s:.)"),
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_OCT_DIGITS = frozenset("01234567")
-_TYPE_SUFFIXES = frozenset("%&!#@^")
 
+_MASTER = re.compile("|".join(f"({pattern})" for _, pattern in _RULES))
 
-class Lexer:
-    """Streaming tokenizer over a VBA source string."""
+#: ``match.lastindex`` → kind; the rule patterns hold no capture groups of
+#: their own, so the last group that matched is the rule's.
+_KIND_BY_GROUP: tuple[TokenKind | None, ...] = (None,) + tuple(
+    kind for kind, _ in _RULES
+)
 
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, terminating with an EOF token."""
-        while self._pos < len(self._source):
-            yield self._next_token()
-        yield Token(TokenKind.EOF, "", self._line, self._column)
-
-    # ------------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _make(self, kind: TokenKind, start: int, line: int, column: int) -> Token:
-        return Token(kind, self._source[start : self._pos], line, column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            char = self._source[self._pos]
-            self._pos += 1
-            if char == "\n" or (
-                char == "\r" and self._peek() != "\n"
-            ):  # LF, or a lone CR (classic-Mac line ending)
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-
-    def _next_token(self) -> Token:
-        start, line, column = self._pos, self._line, self._column
-        char = self._peek()
-
-        if char in ("\r", "\n"):
-            self._advance()
-            if char == "\r" and self._peek() == "\n":
-                self._advance()
-            return self._make(TokenKind.NEWLINE, start, line, column)
-
-        if char in (" ", "\t"):
-            while self._peek() in (" ", "\t"):
-                self._advance()
-            # A trailing ``_`` after whitespace, followed by end of line, is a
-            # line continuation that splices the next physical line.  Editors
-            # routinely leave spaces or tabs after the underscore, so any run
-            # of trailing whitespace between ``_`` and the line break is part
-            # of the continuation.
-            if self._peek() == "_":
-                offset = 1
-                while self._peek(offset) in (" ", "\t"):
-                    offset += 1
-                if self._peek(offset) in ("\r", "\n", ""):
-                    self._advance()  # the underscore
-                    while self._peek() in (" ", "\t"):
-                        self._advance()
-                    if self._peek() == "\r":
-                        self._advance()
-                    if self._peek() == "\n":
-                        self._advance()
-                    return self._make(
-                        TokenKind.LINE_CONTINUATION, start, line, column
-                    )
-            return self._make(TokenKind.WHITESPACE, start, line, column)
-
-        if char == "'":
-            return self._scan_line_comment(start, line, column)
-
-        if char == '"':
-            return self._scan_string(start, line, column)
-
-        if char in _DIGITS:
-            return self._scan_number(start, line, column)
-
-        if char == "&" and self._peek(1).lower() in ("h", "o"):
-            return self._scan_radix_number(start, line, column)
-
-        if char == "." and self._peek(1) in _DIGITS:
-            return self._scan_number(start, line, column)
-
-        if char == "#" and self._looks_like_date():
-            return self._scan_date(start, line, column)
-
-        if char in _IDENT_START:
-            return self._scan_word(start, line, column)
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self._source.startswith(op, self._pos):
-                self._advance(len(op))
-                return self._make(TokenKind.OPERATOR, start, line, column)
-
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return self._make(TokenKind.OPERATOR, start, line, column)
-
-        if char in PUNCTUATION:
-            self._advance()
-            return self._make(TokenKind.PUNCT, start, line, column)
-
-        self._advance()
-        return self._make(TokenKind.UNKNOWN, start, line, column)
-
-    # ------------------------------------------------------------------
-
-    def _scan_line_comment(self, start: int, line: int, column: int) -> Token:
-        while self._peek() not in ("\r", "\n", ""):
-            self._advance()
-        return self._make(TokenKind.COMMENT, start, line, column)
-
-    def _scan_string(self, start: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        while True:
-            char = self._peek()
-            if char == "":
-                break  # unterminated string: tolerate, common in broken code
-            if char in ("\r", "\n"):
-                break  # VBA strings cannot span lines
-            if char == '"':
-                if self._peek(1) == '"':
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            self._advance()
-        return self._make(TokenKind.STRING, start, line, column)
-
-    def _scan_number(self, start: int, line: int, column: int) -> Token:
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek().lower() == "e" and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in _TYPE_SUFFIXES:
-            self._advance()
-        return self._make(TokenKind.NUMBER, start, line, column)
-
-    def _scan_radix_number(self, start: int, line: int, column: int) -> Token:
-        radix = self._peek(1).lower()
-        digits = _HEX_DIGITS if radix == "h" else _OCT_DIGITS
-        self._advance(2)
-        while self._peek() in digits:
-            self._advance()
-        if self._peek() in ("&", "%"):
-            self._advance()
-        return self._make(TokenKind.NUMBER, start, line, column)
-
-    def _looks_like_date(self) -> bool:
-        """Heuristically decide whether ``#`` opens a date literal.
-
-        A date literal looks like ``#1/2/2016#`` or ``#12:30 PM#`` — a short
-        run of date-ish characters terminated by ``#`` on the same line.
-        """
-        index = self._pos + 1
-        length = 0
-        while index < len(self._source) and length < 24:
-            char = self._source[index]
-            if char == "#":
-                return length > 0
-            if char in ("\r", "\n"):
-                return False
-            if char not in "0123456789/:- APMapm,":
-                return False
-            index += 1
-            length += 1
-        return False
-
-    def _scan_date(self, start: int, line: int, column: int) -> Token:
-        self._advance()  # opening '#'
-        while self._peek() not in ("#", "\r", "\n", ""):
-            self._advance()
-        if self._peek() == "#":
-            self._advance()
-        return self._make(TokenKind.DATE, start, line, column)
-
-    def _scan_word(self, start: int, line: int, column: int) -> Token:
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self._source[start : self._pos].lower()
-        if word == "rem":
-            # ``Rem`` introduces a comment running to end of line.
-            while self._peek() not in ("\r", "\n", ""):
-                self._advance()
-            return self._make(TokenKind.COMMENT, start, line, column)
-        if word in VBA_KEYWORDS:
-            return self._make(TokenKind.KEYWORD, start, line, column)
-        # An identifier may carry a type suffix (``count%``, ``name$``).
-        if self._peek() in "%&!#@$":
-            self._advance()
-        return self._make(TokenKind.IDENTIFIER, start, line, column)
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize VBA source, returning all tokens including the final EOF."""
-    return list(Lexer(source).tokens())
+    tokens: list[Token] = []
+    append = tokens.append
+    kinds = _KIND_BY_GROUP
+    newline = TokenKind.NEWLINE
+    continuation = TokenKind.LINE_CONTINUATION
+    line = 1
+    line_start = 0
+    for match in _MASTER.finditer(source):
+        kind = kinds[match.lastindex]
+        text = match.group()
+        append(_new_token(Token, (kind, text, line, match.start() - line_start + 1)))
+        if (kind is newline or kind is continuation) and text[-1] in "\r\n":
+            line += 1
+            line_start = match.end()
+    append(_new_token(Token, (TokenKind.EOF, "", line, len(source) - line_start + 1)))
+    return tokens
 
 
 def significant_tokens(source: str) -> list[Token]:

@@ -10,7 +10,7 @@ operators and line structure, all of which are first-class token kinds here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -31,9 +31,12 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
+
+    An immutable, slotted record.  It is a tuple subclass so that the lexer
+    can build each one with a single C-level ``tuple.__new__`` call; a
+    frozen dataclass's ``__init__`` costs more than the lexing itself.
 
     Attributes:
         kind: lexical category.

@@ -298,6 +298,34 @@ class TestDeadlinePropagation:
         finally:
             engine.close()
 
+    def test_coalesced_twin_keeps_its_own_deadline(self, document_factory):
+        """A duplicate that coalesces onto a request whose deadline then
+        expires must not inherit that request's deadline record: it is
+        analyzed under its own deadline."""
+        (_, data), = document_factory(1)
+        digest = sha256_hex(data)
+        plan = FaultPlan(faults=(Fault("hang", "hung"),), hang_s=20.0)
+        engine = AnalysisEngine.for_extraction(chaos=plan)
+
+        async def scenario():
+            pool = engine._stream_pool(2, None)
+            now = time.monotonic()
+
+            async def entries():
+                yield ("task", 0, "hung", data, digest, now + 0.5)
+                yield ("task", 1, "twin", data, digest, now + 60.0)
+
+            return [r async for r in pool.astream(entries(), ordered=True)]
+
+        hung, twin = run_async(scenario())
+        try:
+            assert deadline_limited(hung.record)
+            assert twin.computed
+            assert not twin.record.degraded
+            assert twin.record.source_id == "twin"
+        finally:
+            engine.close()
+
 
 class TestCloseDiscipline:
     def test_double_close_is_idempotent(self, document_factory):
