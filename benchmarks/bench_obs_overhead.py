@@ -68,9 +68,17 @@ def _best_of(rounds: int, run) -> float:
 
 def test_run_source_telemetry_off_is_free(benchmark):
     sources = build_sources(N_SOURCES)
-    engine_off = AnalysisEngine.for_features(("V",))
+
+    def engine(metrics=None):
+        # Caching off: a feature-row cache would serve every round after the
+        # first from memory, and the gate would compare cache hits.
+        return AnalysisEngine(
+            feature_sets=("V",), metrics=metrics, cache_size=0, feature_cache_size=0
+        )
+
+    engine_off = engine()
     registry = MetricsRegistry()
-    engine_on = AnalysisEngine.for_features(("V",), metrics=registry)
+    engine_on = engine(registry)
     stages = engine_off.stages
 
     # Warm every lazy import before the first timed round.

@@ -2,7 +2,9 @@
 
 :class:`MacroAnalysis` is the single shared substrate for feature extraction
 (:mod:`repro.features`) and for the obfuscation engine
-(:mod:`repro.obfuscation`).  From one lexer pass it derives:
+(:mod:`repro.obfuscation`).  The lexer hands it the tokens as parallel
+kind and text columns (:class:`~repro.vba.lexer.TokenColumns`); from one
+walk over those columns it derives:
 
 * declared identifiers — procedure names, parameters, ``Dim``/``Const``/
   ``ReDim``/``For Each`` variables — which is exactly the set O1 random
@@ -16,11 +18,11 @@ On top of the structural analysis sits :class:`AnalysisSummary` — a small,
 picklable, array-backed digest of everything the feature extractors need
 (token-kind counts, word/string/identifier length arrays with exact integer
 sums, a char-class histogram, Shannon entropy computed once).  It is built
-in a single token walk plus one vectorized character pass, so feature
-kernels never re-walk tokens or re-scan the source.  All of its reductions
-are segment-local (per macro), which is what makes the batch feature
-kernels row-deterministic: a macro's feature row is bit-identical whether
-it is extracted alone or in a batch of thousands.
+from counts over the token columns plus one vectorized character pass, so
+feature kernels never re-walk tokens or re-scan the source.  All of its
+reductions are segment-local (per macro), which is what makes the batch
+feature kernels row-deterministic: a macro's feature row is bit-identical
+whether it is extracted alone or in a batch of thousands.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import accumulate, compress, count
 
 import numpy as np
 
@@ -41,8 +43,17 @@ from repro.vba.functions import (
     TEXT_FUNCTIONS,
     TYPE_CONVERSION_FUNCTIONS,
 )
-from repro.vba.lexer import tokenize
-from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind
+# The columnar lexer, under the name ``tokenize``: the layer ledger
+# (layerbench/spans.py) times ``repro.vba.analyzer.tokenize`` as the lexing
+# layer and counts ``len()`` of its result, which is the token count.
+from repro.vba.lexer import TokenColumns
+from repro.vba.lexer import lex_columns as tokenize
+from repro.vba.tokens import (
+    STRING_CONCAT_OPERATORS,
+    Token,
+    TokenKind,
+    string_literal_value,
+)
 
 # Keywords that introduce a procedure whose following identifier is the
 # procedure name.
@@ -76,7 +87,9 @@ CATALOG_ORDER: tuple[frozenset[str], ...] = (
     RICH_FUNCTIONS,
 )
 
-_KIND_VALUE = attrgetter("kind._value_")
+#: :class:`TokenKind` values in declaration order: the columns of
+#: :attr:`AnalysisSummary.token_kind_counts`.
+_KIND_VALUES = tuple(kind.value for kind in TokenKind)
 
 #: char-class histogram shape: one bin per ASCII codepoint plus a single
 #: overflow bin for everything non-ASCII.
@@ -102,7 +115,7 @@ class MacroAnalysis:
     """The result of analyzing one VBA module's source code."""
 
     source: str
-    tokens: list[Token] = field(default_factory=list)
+    columns: TokenColumns = field(repr=False)
     declared_identifiers: list[str] = field(default_factory=list)
     identifier_uses: list[str] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
@@ -111,6 +124,17 @@ class MacroAnalysis:
     procedure_names: list[str] = field(default_factory=list)
     #: lazily-built array-backed digest for the batch feature kernels
     summary: "AnalysisSummary | None" = field(default=None, compare=False)
+    #: the Token list, built from ``columns`` by :attr:`tokens`
+    _tokens: list[Token] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The tokens of ``source``, EOF included, built on first access."""
+        if self._tokens is None:
+            self._tokens = self.columns.tokens()
+        return self._tokens
 
     # ------------------------------------------------------------------
     # Derived text measures used by the feature extractors.
@@ -118,18 +142,21 @@ class MacroAnalysis:
     @property
     def code_without_comments(self) -> str:
         """The source with comment token text removed (other text intact)."""
-        parts = [
-            token.text
-            for token in self.tokens
-            if token.kind is not TokenKind.COMMENT
-        ]
-        return "".join(parts)
+        comment = TokenKind.COMMENT
+        columns = self.columns
+        return "".join(
+            text
+            for kind, text in zip(columns.kinds, columns.texts)
+            if kind is not comment
+        )
 
     @property
     def comment_text(self) -> str:
         """All comment text concatenated (markers included)."""
+        comment = TokenKind.COMMENT
+        columns = self.columns
         return "".join(
-            token.text for token in self.tokens if token.kind is TokenKind.COMMENT
+            text for kind, text in zip(columns.kinds, columns.texts) if kind is comment
         )
 
     @property
@@ -143,10 +170,12 @@ class MacroAnalysis:
 
     def operator_count(self, operators: frozenset[str]) -> int:
         """Count OPERATOR tokens whose text is in ``operators``."""
+        operator = TokenKind.OPERATOR
+        columns = self.columns
         return sum(
             1
-            for token in self.tokens
-            if token.kind is TokenKind.OPERATOR and token.text in operators
+            for kind, text in zip(columns.kinds, columns.texts)
+            if kind is operator and text in operators
         )
 
     def called_builtin_fraction(self, catalog: frozenset[str]) -> float:
@@ -221,8 +250,7 @@ class AnalysisSummary:
 
 def analyze(source: str) -> MacroAnalysis:
     """Run the full structural analysis over one module's source code."""
-    analysis = MacroAnalysis(source=source)
-    analysis.tokens = tokenize(source)
+    analysis = MacroAnalysis(source=source, columns=tokenize(source))
     _collect(analysis)
     return analysis
 
@@ -230,7 +258,7 @@ def analyze(source: str) -> MacroAnalysis:
 def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     """Build the array-backed summary from one finished analysis.
 
-    One fused walk over the token list, one vectorized pass over the
+    Counts over the token columns, one vectorized pass over the
     characters, one regex pass for words and one linear scan for procedure
     bodies — after this the feature extractors never look at the analysis
     again.  Every pass is linear in the size of the macro.
@@ -243,7 +271,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     )
     backslash_chars = int(char_histogram[92])
 
-    walk = _TokenWalk(analysis.tokens)
+    walk = _TokenWalk(analysis.columns)
     comment_text = "".join(walk.comment_parts)
     comment_chars = len(comment_text)
 
@@ -334,7 +362,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
 
 
 class _TokenWalk:
-    """Everything :func:`summarize` needs from the tokens, in one pass.
+    """Everything :func:`summarize` needs from the token columns.
 
     * ``kind_counts``: tokens per kind, in :class:`TokenKind` order;
     * ``comment_parts``: the COMMENT token texts, in order;
@@ -346,8 +374,10 @@ class _TokenWalk:
       ``)`` — or the end of the macro if it is never closed — without
       whitespace and newline tokens (J9).
 
-    Parentheses match through a stack of open ones, each holding the text
-    offset just past it if it opens a call, so nesting costs nothing extra.
+    A token's kind is a function of its text, so the first four are folded
+    from the count of each distinct text.  Only the parentheses are walked:
+    they match through a stack of open ones, each holding the text offset
+    just past it if it opens a call.
     """
 
     __slots__ = (
@@ -355,49 +385,59 @@ class _TokenWalk:
         "string_op_count", "argument_count", "argument_len_sum",
     )
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, columns: TokenColumns) -> None:
         whitespace, newline, eof = (
             TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF
         )
-        punct, identifier = TokenKind.PUNCT, TokenKind.IDENTIFIER
-        comment, string, operator = (
-            TokenKind.COMMENT, TokenKind.STRING, TokenKind.OPERATOR
-        )
+        identifier, comment = TokenKind.IDENTIFIER, TokenKind.COMMENT
+        string, operator = TokenKind.STRING, TokenKind.OPERATOR
         concat = STRING_CONCAT_OPERATORS
-        comment_parts: list[str] = []
+        kind_of, texts = columns.kind_of, columns.texts
+
+        # Tallied by the kind's value string: its hash is cached, while
+        # hashing the enum member runs Enum.__hash__ in Python.
+        by_value = dict.fromkeys(_KIND_VALUES, 0)
         string_token_chars = string_op_count = 0
+        for text, times in Counter(texts).items():
+            kind = kind_of[text]
+            by_value[kind._value_] += times
+            if kind is string:
+                string_token_chars += len(text) * times
+            elif kind is operator and text in concat:
+                string_op_count += times
+
+        significant = {
+            text: not (kind is whitespace or kind is newline or kind is eof)
+            for text, kind in kind_of.items()
+        }
+        selectors = list(map(significant.__getitem__, texts))
+        sig_texts = list(compress(texts, selectors))
+        sig_kinds = list(compress(columns.kinds, selectors))
+        is_comment = {text: kind is comment for text, kind in kind_of.items()}
+        comment_parts = list(
+            compress(sig_texts, map(is_comment.__getitem__, sig_texts))
+        )
+
+        # offsets[i]: text length of the significant tokens before the i-th.
+        offsets = list(accumulate(map(len, sig_texts), initial=0))
         argument_count = argument_len_sum = 0
         open_parens: list[int] = []  # offset past a call's "(", else -1
-        offset = 0  # text length of the tokens walked, whitespace excluded
-        after_identifier = False
-        for kind, text, _, _ in tokens:
-            if kind is whitespace or kind is newline or kind is eof:
-                continue
-            if kind is punct:
-                if text == "(":
-                    open_parens.append(offset + 1 if after_identifier else -1)
-                elif text == ")" and open_parens:
-                    start = open_parens.pop()
-                    if start >= 0:
-                        argument_count += 1
-                        argument_len_sum += offset - start
-            elif kind is string:
-                string_token_chars += len(text)
-            elif kind is operator:
-                if text in concat:
-                    string_op_count += 1
-            elif kind is comment:
-                comment_parts.append(text)
-            offset += len(text)
-            after_identifier = kind is identifier
+        is_paren = {text: text == "(" or text == ")" for text in kind_of}
+        for at in compress(count(), map(is_paren.__getitem__, sig_texts)):
+            if sig_texts[at] == "(":
+                opens_call = at > 0 and sig_kinds[at - 1] is identifier
+                open_parens.append(offsets[at] + 1 if opens_call else -1)
+            elif open_parens:
+                start = open_parens.pop()
+                if start >= 0:
+                    argument_count += 1
+                    argument_len_sum += offsets[at] - start
         for start in open_parens:  # unclosed calls run to the end
             if start >= 0:
                 argument_count += 1
-                argument_len_sum += offset - start
-        # Counted by the kind's value string: its hash is cached, while
-        # hashing the enum member runs Enum.__hash__ in Python.
-        by_value = Counter(map(_KIND_VALUE, tokens))
-        self.kind_counts = [by_value[kind.value] for kind in TokenKind]
+                argument_len_sum += offsets[-1] - start
+
+        self.kind_counts = list(by_value.values())
         self.comment_parts = comment_parts
         self.string_token_chars = string_token_chars
         self.string_op_count = string_op_count
@@ -518,20 +558,38 @@ class _SuffixAutomaton:
 
 
 def _collect(analysis: MacroAnalysis) -> None:
+    """Fill the identifier, call, string, comment and procedure lists.
+
+    Walks the kind and text columns with whitespace, continuations and EOF
+    left out, so that ``index + 1`` is the next significant token.  Where a
+    text has one kind only (``(``, ``.``, ``:``, ``=``), the text alone is
+    tested.  Call sites get their lines after the walk, from the offsets of
+    their tokens.
+    """
     whitespace, continuation, eof = (
         TokenKind.WHITESPACE, TokenKind.LINE_CONTINUATION, TokenKind.EOF
     )
-    tokens = [
-        token
-        for token in analysis.tokens
-        if (kind := token.kind) is not whitespace
-        and kind is not continuation
-        and kind is not eof
-    ]
+    identifier, keyword_kind, newline = (
+        TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.NEWLINE
+    )
+    punct, string, comment = TokenKind.PUNCT, TokenKind.STRING, TokenKind.COMMENT
+    columns = analysis.columns
+    kept = {
+        text: not (kind is whitespace or kind is continuation or kind is eof)
+        for text, kind in columns.kind_of.items()
+    }
+    selectors = list(map(kept.__getitem__, columns.texts))
+    kinds: list[TokenKind | None] = list(compress(columns.kinds, selectors))
+    texts = list(compress(columns.texts, selectors))
+    # One sentinel past the end: ``kinds[index + 1]`` needs no bounds check,
+    # and ``texts[index - 1]`` at index 0 reads "", which is no member dot.
+    kinds.append(None)
+    texts.append("")
+
     declared: list[str] = []
     declared_seen: set[str] = set()
     uses: list[str] = []
-    calls: list[CallSite] = []
+    calls: list[tuple[str, int, bool]] = []  # (name, index, is_member)
     strings: list[str] = []
     comments: list[str] = []
     procedures: list[str] = []
@@ -542,113 +600,77 @@ def _collect(analysis: MacroAnalysis) -> None:
             declared_seen.add(lowered)
             declared.append(name)
 
-    index = 0
+    resume = 0  # a helper scan consumed the tokens before this index
     at_statement_start = True
-    while index < len(tokens):
-        token = tokens[index]
-        kind = token.kind
-
-        if kind is TokenKind.NEWLINE or (
-            kind is TokenKind.PUNCT and token.text == ":"
-        ):
-            at_statement_start = True
-            index += 1
+    for index, kind in enumerate(kinds):  # the sentinel ends in the else
+        if index < resume:
             continue
-
-        if kind is TokenKind.COMMENT:
-            comments.append(token.text)
-            index += 1
-            continue
-
-        if kind is TokenKind.STRING:
-            strings.append(token.string_value)
-            at_statement_start = False
-            index += 1
-            continue
-
-        if kind is TokenKind.KEYWORD:
-            keyword = token.text.lower()
-            if keyword in _PROCEDURE_KEYWORDS:
-                index = _scan_procedure(
-                    tokens, index, keyword, declare, procedures, strings
-                )
-                at_statement_start = False
-                continue
-            if keyword in _DECLARATION_KEYWORDS:
-                index = _scan_declaration(tokens, index, declare, strings)
-                at_statement_start = False
-                continue
-            if keyword == "for":
-                index = _scan_for(tokens, index, declare)
-                at_statement_start = False
-                continue
-            if keyword == "call" and _kind_at(tokens, index + 1) is TokenKind.IDENTIFIER:
-                callee = tokens[index + 1]
-                calls.append(CallSite(callee.text, callee.line, is_member=False))
-                uses.append(callee.text)
-                index += 2
-                at_statement_start = False
-                continue
-            if (
-                keyword in ALL_CATEGORIZED_FUNCTIONS
-                and _kind_at(tokens, index + 1) is TokenKind.PUNCT
-                and tokens[index + 1].text == "("
-            ):
-                # Callable builtins that lex as keywords: CStr(), CLng(), …
-                calls.append(
-                    CallSite(
-                        token.text, token.line, _is_member_access(tokens, index)
-                    )
-                )
-            at_statement_start = False
-            index += 1
-            continue
-
-        if kind is TokenKind.IDENTIFIER:
-            uses.append(token.text)
-            is_member = _is_member_access(tokens, index)
-            next_kind = _kind_at(tokens, index + 1)
-            next_text = tokens[index + 1].text if index + 1 < len(tokens) else ""
-            lowered = token.text.lower()
-            if next_kind is TokenKind.PUNCT and next_text == "(":
-                calls.append(CallSite(token.text, token.line, is_member))
+        if kind is identifier:
+            text = texts[index]
+            uses.append(text)
+            is_member = texts[index - 1] == "."
+            if texts[index + 1] == "(":
+                calls.append((text, index, is_member))
             elif (
                 at_statement_start
                 and not is_member
-                and lowered in ALL_CATEGORIZED_FUNCTIONS
+                and text.lower() in ALL_CATEGORIZED_FUNCTIONS
             ):
                 # Statement-style invocation: ``Shell program, 1``.
-                calls.append(CallSite(token.text, token.line, is_member=False))
+                calls.append((text, index, False))
             at_statement_start = False
-            index += 1
-            continue
+        elif kind is newline:
+            at_statement_start = True
+        elif kind is punct:
+            at_statement_start = texts[index] == ":"
+        elif kind is string:
+            strings.append(string_literal_value(texts[index]))
+            at_statement_start = False
+        elif kind is comment:
+            comments.append(texts[index])
+        elif kind is keyword_kind:
+            keyword = texts[index].lower()
+            at_statement_start = False
+            if keyword in _PROCEDURE_KEYWORDS:
+                resume = _scan_procedure(
+                    kinds, texts, index, keyword, declare, procedures, strings
+                )
+            elif keyword in _DECLARATION_KEYWORDS:
+                resume = _scan_declaration(kinds, texts, index, declare, strings)
+            elif keyword == "for":
+                resume = _scan_for(kinds, texts, index, declare)
+            elif keyword == "call" and kinds[index + 1] is identifier:
+                callee = texts[index + 1]
+                calls.append((callee, index + 1, False))
+                uses.append(callee)
+                resume = index + 2
+            elif keyword in ALL_CATEGORIZED_FUNCTIONS and texts[index + 1] == "(":
+                # Callable builtins that lex as keywords: CStr(), CLng(), …
+                calls.append((texts[index], index, texts[index - 1] == "."))
+        else:
+            at_statement_start = False
 
-        at_statement_start = False
-        index += 1
+    call_sites: list[CallSite] = []
+    if calls:
+        # A kept token's index in the columns, then the line it is on.
+        positions = list(compress(count(), selectors))
+        lines = list(accumulate(columns.line_breaks(), initial=1))
+        call_sites = [
+            CallSite(name, lines[positions[index]], is_member)
+            for name, index, is_member in calls
+        ]
 
     analysis.declared_identifiers = declared
     analysis.identifier_uses = uses
-    analysis.call_sites = calls
+    analysis.call_sites = call_sites
     analysis.string_literals = strings
     analysis.comments = comments
     analysis.procedure_names = procedures
 
 
-def _kind_at(tokens: list[Token], index: int) -> TokenKind | None:
-    if 0 <= index < len(tokens):
-        return tokens[index].kind
-    return None
-
-
-def _is_member_access(tokens: list[Token], index: int) -> bool:
-    if index == 0:
-        return False
-    prev = tokens[index - 1]
-    return prev.kind is TokenKind.PUNCT and prev.text == "."
-
-
 def _scan_procedure(
-    tokens: list[Token],
+    kinds: list[TokenKind | None],
+    texts: list[str],
     index: int,
     keyword: str,
     declare,
@@ -659,97 +681,98 @@ def _scan_procedure(
 
     Returns the index to resume scanning from.
     """
+    identifier, keyword_kind = TokenKind.IDENTIFIER, TokenKind.KEYWORD
     cursor = index + 1
-    if keyword == "property" and _kind_at(tokens, cursor) in (
-        TokenKind.KEYWORD,
-        TokenKind.IDENTIFIER,
+    if (
+        keyword == "property"
+        and (kinds[cursor] is keyword_kind or kinds[cursor] is identifier)
+        and texts[cursor].lower() in ("get", "let", "set")
     ):
-        accessor = tokens[cursor].text.lower()
-        if accessor in ("get", "let", "set"):
-            cursor += 1
-    if _kind_at(tokens, cursor) is not TokenKind.IDENTIFIER:
+        cursor += 1
+    if kinds[cursor] is not identifier:
         # ``End Sub`` / ``Exit Function`` — nothing declared here.
         return index + 1
-    name_token = tokens[cursor]
-    declare(name_token.text)
-    procedures.append(name_token.text)
+    declare(texts[cursor])
+    procedures.append(texts[cursor])
     cursor += 1
     # Parameters: ``(ByVal a As String, Optional b)``.
-    if (
-        _kind_at(tokens, cursor) is TokenKind.PUNCT
-        and tokens[cursor].text == "("
-    ):
+    if texts[cursor] == "(":
         depth = 0
         expecting_name = True
-        while cursor < len(tokens):
-            token = tokens[cursor]
-            if token.kind is TokenKind.PUNCT and token.text == "(":
-                depth += 1
-            elif token.kind is TokenKind.PUNCT and token.text == ")":
-                depth -= 1
-                if depth == 0:
-                    cursor += 1
-                    break
-            elif token.kind is TokenKind.PUNCT and token.text == "," and depth == 1:
-                expecting_name = True
-            elif token.kind is TokenKind.KEYWORD:
-                lowered = token.text.lower()
-                if lowered == "as":
+        end = len(kinds) - 1  # the sentinel
+        while cursor < end:
+            kind, text = kinds[cursor], texts[cursor]
+            if kind is TokenKind.PUNCT:
+                if text == "(":
+                    depth += 1
+                elif text == ")":
+                    depth -= 1
+                    if depth == 0:
+                        cursor += 1
+                        break
+                elif text == "," and depth == 1:
+                    expecting_name = True
+            elif kind is keyword_kind:
+                if text.lower() == "as":
                     expecting_name = False
                 # byval/byref/optional/paramarray keep us expecting a name.
-            elif token.kind is TokenKind.IDENTIFIER and expecting_name and depth == 1:
-                declare(token.text)
+            elif kind is identifier and expecting_name and depth == 1:
+                declare(text)
                 expecting_name = False
-            elif token.kind is TokenKind.STRING:
-                strings.append(token.string_value)
+            elif kind is TokenKind.STRING:
+                strings.append(string_literal_value(text))
             cursor += 1
     return cursor
 
 
 def _scan_declaration(
-    tokens: list[Token], index: int, declare, strings: list[str]
+    kinds: list[TokenKind | None],
+    texts: list[str],
+    index: int,
+    declare,
+    strings: list[str],
 ) -> int:
     """Handle ``Dim a As X, b(10) As Y`` and friends on one logical line."""
     cursor = index + 1
     expecting_name = True
     depth = 0
-    while cursor < len(tokens):
-        token = tokens[cursor]
-        if token.kind is TokenKind.NEWLINE:
+    end = len(kinds) - 1  # the sentinel
+    while cursor < end:
+        kind, text = kinds[cursor], texts[cursor]
+        if kind is TokenKind.NEWLINE:
             break
-        if token.kind is TokenKind.PUNCT:
-            if token.text == "(":
+        if kind is TokenKind.PUNCT:
+            if text == "(":
                 depth += 1
-            elif token.text == ")":
+            elif text == ")":
                 depth = max(0, depth - 1)
-            elif token.text == "," and depth == 0:
+            elif text == "," and depth == 0:
                 expecting_name = True
-            elif token.text == ":":
+            elif text == ":":
                 break
-        elif token.kind is TokenKind.OPERATOR and token.text == "=" and depth == 0:
+        elif text == "=" and depth == 0:
             # ``Const x = 5``: the initializer is an expression, stop naming.
             expecting_name = False
-        elif token.kind is TokenKind.KEYWORD:
-            if token.text.lower() == "as":
+        elif kind is TokenKind.KEYWORD:
+            if text.lower() == "as":
                 expecting_name = False
-        elif token.kind is TokenKind.IDENTIFIER and expecting_name and depth == 0:
-            declare(token.text)
+        elif kind is TokenKind.IDENTIFIER and expecting_name and depth == 0:
+            declare(text)
             expecting_name = False
-        elif token.kind is TokenKind.STRING:
-            strings.append(token.string_value)
+        elif kind is TokenKind.STRING:
+            strings.append(string_literal_value(text))
         cursor += 1
     return cursor
 
 
-def _scan_for(tokens: list[Token], index: int, declare) -> int:
+def _scan_for(
+    kinds: list[TokenKind | None], texts: list[str], index: int, declare
+) -> int:
     """Handle ``For i = ...`` and ``For Each cell In ...`` loop variables."""
     cursor = index + 1
-    if (
-        _kind_at(tokens, cursor) is TokenKind.KEYWORD
-        and tokens[cursor].text.lower() == "each"
-    ):
+    if kinds[cursor] is TokenKind.KEYWORD and texts[cursor].lower() == "each":
         cursor += 1
-    if _kind_at(tokens, cursor) is TokenKind.IDENTIFIER:
-        declare(tokens[cursor].text)
+    if kinds[cursor] is TokenKind.IDENTIFIER:
+        declare(texts[cursor])
         cursor += 1
     return cursor

@@ -1,11 +1,13 @@
 """A tokenizer for Visual Basic for Applications source code.
 
-The lexer is one compiled master regex of ordered alternatives, one capture
-group per rule, applied with ``finditer``: every alternative consumes at
-least one character and the last one takes any character, so the matches
-tile the source with no gaps and each match is exactly one
-:class:`~repro.vba.tokens.Token`.  It handles the VBA constructs that matter
-for static analysis of macro code:
+The lexer is one compiled regex of ordered alternatives, one per rule,
+applied with ``findall``: every alternative consumes at least one character
+and the last one takes any character, so the matches tile the source with
+no gaps and each match is the text of exactly one token.  The texts and
+their kinds come out as parallel columns (:class:`TokenColumns`);
+:func:`tokenize` builds :class:`~repro.vba.tokens.Token` records from them.
+It handles the VBA constructs that matter for static analysis of macro
+code:
 
 * ``'`` comments and ``Rem`` statement comments, running to end of line;
 * double-quoted string literals with ``""`` escapes;
@@ -32,6 +34,9 @@ a lone ``\\r`` each end a line); columns count from the last line start.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul, sub
 
 from repro.vba.tokens import (
     MULTI_CHAR_OPERATORS,
@@ -107,10 +112,14 @@ _RULES: tuple[tuple[TokenKind, str], ...] = (
     (TokenKind.UNKNOWN, r"(?s:.)"),
 )
 
-_MASTER = re.compile("|".join(f"({pattern})" for _, pattern in _RULES))
+#: The rules with their groups made non-capturing: under ``findall`` it
+#: returns the token texts without building a match object per token.
+_FLAT = re.compile("|".join(f"(?:{pattern})" for _, pattern in _RULES))
 
-#: ``match.lastindex`` → kind; the rule patterns hold no capture groups of
-#: their own, so the last group that matched is the rule's.
+#: The rules with one capture group each, so that ``match.lastindex`` names
+#: the rule that matched; the rule patterns hold no capture groups of their
+#: own, so the last group that matched is the rule's.
+_MASTER = re.compile("|".join(f"({pattern})" for _, pattern in _RULES))
 _KIND_BY_GROUP: tuple[TokenKind | None, ...] = (None,) + tuple(
     kind for kind, _ in _RULES
 )
@@ -118,24 +127,72 @@ _KIND_BY_GROUP: tuple[TokenKind | None, ...] = (None,) + tuple(
 _new_token = tuple.__new__
 
 
+@dataclass(slots=True)
+class TokenColumns:
+    """The tokens of one source as parallel columns, the final EOF included.
+
+    ``kinds[i]`` and ``texts[i]`` are the kind and text of the ``i``-th
+    token :func:`tokenize` returns, and ``len()`` is the token count.
+    ``kind_of`` maps every distinct text to its kind.  Lines and columns are
+    not stored: :meth:`tokens` derives them from the line breaks and the
+    text lengths when a consumer needs :class:`~repro.vba.tokens.Token`
+    records.
+    """
+
+    kinds: list[TokenKind]
+    texts: list[str]
+    kind_of: dict[str, TokenKind] = field(repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def line_breaks(self) -> list[bool]:
+        """Whether each token ends a line: every NEWLINE, and a
+        LINE_CONTINUATION that takes the line break after it."""
+        newline, continuation = TokenKind.NEWLINE, TokenKind.LINE_CONTINUATION
+        ends_line = {
+            text: kind is newline or (kind is continuation and text[-1] in "\r\n")
+            for text, kind in self.kind_of.items()
+        }
+        return list(map(ends_line.__getitem__, self.texts))
+
+    def tokens(self) -> list[Token]:
+        """The :class:`~repro.vba.tokens.Token` list, equal to :func:`tokenize`'s."""
+        texts = self.texts
+        breaks = self.line_breaks()
+        # A token's line is one plus the line breaks before it; its column
+        # counts from the end of the last of them.
+        lines = accumulate(breaks, initial=1)
+        ends = accumulate(map(len, texts))
+        line_starts = accumulate(map(mul, breaks, ends), max, initial=0)
+        columns = map(sub, accumulate(map(len, texts), initial=1), line_starts)
+        return list(
+            map(_new_token, repeat(Token), zip(self.kinds, texts, lines, columns))
+        )
+
+
+def lex_columns(source: str) -> TokenColumns:
+    """Lex VBA source into :class:`TokenColumns`, the final EOF included.
+
+    ``findall`` cuts the source into token texts.  For this rule order a
+    token's kind is a function of its text: only the word-end and line-end
+    lookaheads look past a token, and they read the same after the text in
+    the source as after the text alone.  So each distinct text is
+    classified once, by the rule group that matches it on its own, in a
+    memo that lives as long as the call.
+    """
+    texts = _FLAT.findall(source)
+    kind_by_group = _KIND_BY_GROUP
+    match = _MASTER.match
+    kind_of = {text: kind_by_group[match(text).lastindex] for text in set(texts)}
+    kind_of[""] = TokenKind.EOF
+    texts.append("")
+    return TokenColumns(list(map(kind_of.__getitem__, texts)), texts, kind_of)
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize VBA source, returning all tokens including the final EOF."""
-    tokens: list[Token] = []
-    append = tokens.append
-    kinds = _KIND_BY_GROUP
-    newline = TokenKind.NEWLINE
-    continuation = TokenKind.LINE_CONTINUATION
-    line = 1
-    line_start = 0
-    for match in _MASTER.finditer(source):
-        kind = kinds[match.lastindex]
-        text = match.group()
-        append(_new_token(Token, (kind, text, line, match.start() - line_start + 1)))
-        if (kind is newline or kind is continuation) and text[-1] in "\r\n":
-            line += 1
-            line_start = match.end()
-    append(_new_token(Token, (TokenKind.EOF, "", line, len(source) - line_start + 1)))
-    return tokens
+    return lex_columns(source).tokens()
 
 
 def significant_tokens(source: str) -> list[Token]:

@@ -60,12 +60,7 @@ class Token(NamedTuple):
         """
         if self.kind is not TokenKind.STRING:
             raise ValueError(f"not a string token: {self.kind}")
-        body = self.text
-        if body.startswith('"'):
-            body = body[1:]
-        if body.endswith('"'):
-            body = body[:-1]
-        return body.replace('""', '"')
+        return string_literal_value(self.text)
 
     @property
     def comment_value(self) -> str:
@@ -77,6 +72,17 @@ class Token(NamedTuple):
         # ``Rem`` comment: drop the marker and one following space if present.
         body = self.text[3:]
         return body[1:] if body.startswith(" ") else body
+
+
+def string_literal_value(text: str) -> str:
+    """The decoded value of STRING token text: delimiters stripped, ``""``
+    unescaped to ``"``."""
+    body = text
+    if body.startswith('"'):
+        body = body[1:]
+    if body.endswith('"'):
+        body = body[:-1]
+    return body.replace('""', '"')
 
 
 # Reserved words of the VBA language, per [MS-VBAL] section 3.3.5.  Keyword

@@ -21,7 +21,6 @@ from repro.vba.analyzer import (
     CATALOG_ORDER,
     LONG_LINE_THRESHOLD,
     AnalysisSummary,
-    MacroAnalysis,
     _char_stats,
 )
 from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind
@@ -40,8 +39,12 @@ _FUNCTION_BODY_PATTERN = re.compile(
 )
 
 
-def oracle_summarize(analysis: MacroAnalysis) -> AnalysisSummary:
-    """The summary of ``analysis``, computed the pre-rewrite way."""
+def oracle_summarize(analysis) -> AnalysisSummary:
+    """The summary of ``analysis``, computed the pre-rewrite way.
+
+    ``analysis`` is anything with a source, a token list and the collected
+    lists, such as :class:`~tests.vba.oracle_collect.OracleAnalysis`.
+    """
     source = analysis.source
     char_histogram, entropy = _char_stats(source)
     whitespace_chars = int(

@@ -1,7 +1,9 @@
-"""Parity: the master-regex lexer against the per-character oracle.
+"""Parity: the columnar regex lexer against the per-character oracle.
 
 Every token must agree in kind, text, line and column, the final EOF token
-included, on arbitrary text and on whole synthetic corpora.
+included, on arbitrary text and on whole synthetic corpora.  The kind and
+text columns themselves, and the tokens an analysis builds from them on
+demand, must agree as well.
 """
 
 import pickle
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vba.lexer import tokenize
+from repro.vba.analyzer import analyze
+from repro.vba.lexer import lex_columns, tokenize
 from repro.vba.tokens import Token, TokenKind
 from tests.vba.oracle_lexer import oracle_tokenize
 
@@ -33,7 +36,12 @@ _FRAGMENTS = [
 
 
 def assert_same_tokens(source: str) -> None:
-    assert tokenize(source) == oracle_tokenize(source)
+    expected = oracle_tokenize(source)
+    assert tokenize(source) == expected
+    columns = lex_columns(source)
+    assert len(columns) == len(expected)
+    assert columns.kinds == [token.kind for token in expected]
+    assert columns.texts == [token.text for token in expected]
 
 
 @settings(max_examples=1500, deadline=None)
@@ -68,6 +76,25 @@ def test_arbitrary_unicode(source):
         "#" + "1" * 24 + "#",  # one character too long: punctuation
         "Dim$ = Dim% & x&H1",
         "\r\r\n\n\r",
+        # A text's kind is read off the text alone; these are the texts
+        # whose kind hangs on a lookahead or on the rule order ("Rem" at
+        # the end of the input is above).
+        "Dim$",
+        "Dim$ x",
+        "x = 1: Rem",
+        "Remx",
+        "Remx = 1\nRem x",
+        "a _\nb",
+        "a _\r\nb",
+        "a _ b",
+        "a _",
+        "&H",
+        "&O",
+        "&H + &O",
+        "&Hx &Oy",
+        "#1/1/2000#",
+        "#",
+        "x = #1/1/2000# # #",
     ],
 )
 def test_edge_cases(source):
@@ -77,6 +104,17 @@ def test_edge_cases(source):
 def test_paper_profile_corpora(corpus_sources):
     for source in corpus_sources:
         assert_same_tokens(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+def test_analysis_tokens_are_the_lexer_tokens(source):
+    assert analyze(source).tokens == tokenize(source)
+
+
+def test_analysis_tokens_on_corpora(corpus_sources):
+    for source in corpus_sources:
+        assert analyze(source).tokens == tokenize(source)
 
 
 class TestTokenContract:

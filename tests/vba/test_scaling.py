@@ -64,10 +64,16 @@ SHAPES = [
 ]
 
 
+def analyze_tokens(source: str):
+    """The analysis, then the token list it builds on demand from its columns."""
+    return analyze(source).tokens
+
+
 #: (name, the function timed, its argument built from the source)
 PASSES = [
     ("tokenize", tokenize, lambda source: source),
     ("analyze", analyze, lambda source: source),
+    ("analyze_tokens", analyze_tokens, lambda source: source),
     ("summarize", summarize, analyze),
     ("decompress", decompress, lambda source: compress(source.encode("latin-1"))),
 ]

@@ -15,20 +15,13 @@ from hypothesis import strategies as st
 
 from repro.features import get_feature_set
 from repro.vba import analyzer
-from repro.vba.analyzer import MacroAnalysis, _collect, analyze, summarize
-from tests.vba.oracle_lexer import oracle_tokenize
+from repro.vba.analyzer import analyze, summarize
+from tests.vba.oracle_collect import oracle_analyze
 from tests.vba.oracle_summary import (
     _FUNCTION_BODY_PATTERN,
     _is_human_readable,
     oracle_summarize,
 )
-
-
-def oracle_analyze(source: str) -> MacroAnalysis:
-    analysis = MacroAnalysis(source=source)
-    analysis.tokens = oracle_tokenize(source)
-    _collect(analysis)
-    return analysis
 
 
 def assert_same_summary(source: str) -> None:
